@@ -92,7 +92,7 @@ def static_batching_process(runtime: ServingRuntime, session: EngineSession,
     batch as one prefill step plus a closed-form generation step, and goes
     back to sleep until the batch drains.
     """
-    queue = runtime.queue
+    queue = session.queue
     latency = runtime.latency
     model = runtime.model
     recorder = runtime.recorder

@@ -3,17 +3,21 @@
 The flat :class:`~repro.serving.runtime.ServingRuntime` scales out by
 letting replicas race for claims on one shared queue. At cluster scale
 that is the wrong model — a real deployment has a *router* making explicit
-placement decisions — so this module puts one on the sim core:
+placement decisions — so this module puts one on the sim core. It changes
+placement only; the runtime, its replicas, and its bookkeeping are the flat
+runtime's own:
 
 * :class:`RoutedQueue` — a per-replica admission queue the router pushes
-  into. Policy processes (continuous batching, with or without KV) run on
-  it unchanged; its arrival hint folds in the router's next feed time so
-  an idle replica sleeps until work can actually reach it.
-* :class:`ClusterRuntime` — owns the core, a dedicated router CPU thread,
-  and the replica pool. The router process wakes at each arrival, charges
-  one CPU dispatch decision on its thread, and places the request per the
-  configured :class:`RouterPolicy` (round-robin, least-loaded,
-  session-affinity, or prefill/decode-disaggregated pools).
+  into. Each replica's session claims from its own routed queue, so the
+  policy processes (continuous batching, with or without KV) run on it
+  unchanged; its arrival hint folds in the router's next feed time so an
+  idle replica sleeps until work can actually reach it.
+* :class:`ClusterRuntime` — a :class:`ServingRuntime` whose placement is a
+  dedicated router CPU thread plus one routed queue per replica. The
+  router process wakes at each arrival, charges one CPU dispatch decision
+  on its thread, and places the request per the configured
+  :class:`RouterPolicy` (round-robin, least-loaded, session-affinity, or
+  prefill/decode-disaggregated pools).
 * **Autoscaling** — when the routed-but-unfinished backlog exceeds
   ``backlog_per_replica`` per live replica, the router spins up a new
   one. Spin-up is modeled as CPU dispatch work on the platform model
@@ -35,22 +39,23 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.recorder import RunRecorder
 from repro.serving.latency import LatencyModel
-from repro.serving.requests import Request, RequestOutcome, queue_delay_ns
+from repro.serving.requests import Request, RequestOutcome
 from repro.serving.runtime import (
     AdmissionEntry,
     AdmissionQueue,
     EngineSession,
-    KvReplicaStats,
-    ReplicaStats,
+    PolicyFactory,
     ServingRunResult,
+    ServingRuntime,
+    _policy_process,
 )
 from repro.sim.causality import CausalityLog
-from repro.sim.core import Process, SimCore
+from repro.sim.core import Process
 from repro.sim.queue import EventQueue
 from repro.workloads.config import ModelConfig
 
@@ -161,45 +166,6 @@ class RoutedQueue(AdmissionQueue):
         return min(own, pending)
 
 
-class ReplicaHandle:
-    """One replica's view of the cluster, duck-typing ``ServingRuntime``.
-
-    The continuous-batching policy processes only touch ``queue``,
-    ``latency``, ``model``, ``recorder``, and ``complete`` on their
-    runtime, so a handle exposing those over the cluster lets them run on
-    a routed queue unchanged.
-    """
-
-    def __init__(self, cluster: ClusterRuntime, session: EngineSession) -> None:
-        self._cluster = cluster
-        self.session = session
-        self.queue = RoutedQueue(cluster)
-
-    @property
-    def replica(self) -> int:
-        return self.session.replica
-
-    @property
-    def model(self) -> ModelConfig:
-        return self._cluster.model
-
-    @property
-    def latency(self) -> LatencyModel:
-        return self._cluster.latency
-
-    @property
-    def recorder(self) -> RunRecorder | None:
-        return self._cluster.recorder
-
-    def complete(self, request: Request, ttft_ns: float, completion_ns: float,
-                 batch_size: int, service_start_ns: float,
-                 session: EngineSession) -> RequestOutcome:
-        return self._cluster.complete(
-            request, ttft_ns=ttft_ns, completion_ns=completion_ns,
-            batch_size=batch_size, service_start_ns=service_start_ns,
-            session=session)
-
-
 def _delayed(inner: Process, start_ns: float) -> Process:
     """Hold a policy process's first wake-up until ``start_ns``.
 
@@ -220,8 +186,8 @@ def _delayed(inner: Process, start_ns: float) -> Process:
             return
 
 
-class ClusterRuntime:
-    """Owns the sim core, the router, and the replica pool of one run."""
+class ClusterRuntime(ServingRuntime):
+    """A :class:`ServingRuntime` whose placement is a router process."""
 
     def __init__(
         self,
@@ -240,25 +206,12 @@ class ClusterRuntime:
         causality: CausalityLog | None = None,
         host: HostModel | None = None,
     ) -> None:
-        if not requests:
-            raise ConfigurationError("no requests to serve")
-        if replicas <= 0:
-            raise ConfigurationError("replicas must be positive")
         if router is RouterPolicy.DISAGGREGATED and replicas < 2:
             raise ConfigurationError(
                 "disaggregated routing needs at least two replicas "
                 "(one prefill pool, one decode pool)")
         if disagg_prompt_ratio <= 0:
             raise ConfigurationError("disagg_prompt_ratio must be positive")
-        self.model = model
-        self.latency = latency
-        self.recorder = recorder
-        self.router_policy = router
-        self.autoscale = autoscale
-        self.disagg_prompt_ratio = disagg_prompt_ratio
-        self._process = process
-        self._serving_policy = policy
-        self.core = SimCore(queue=queue, causality=causality)
         # Routing decisions are CPU dispatch work on the platform model;
         # a strictly positive cost is also what keeps router events and
         # replica wake-ups off the same timestamp — so a platform whose
@@ -271,27 +224,18 @@ class ClusterRuntime:
                 f"launch_call_cpu_ns ({route_cost_ns}); the router cannot "
                 f"model a free dispatch decision")
         self.route_cost_ns = route_cost_ns
-        # host=None is the infinite-CPU fast path; a HostModel makes the
-        # router and every replica contend for the host's finite cores.
-        self.host = host
-        if host is not None:
-            host.attach(self.core, recorder=recorder)
-        self.router_thread = self.core.add_cpu_thread(name="router")
-        self.devices_per_replica = (
-            (latency.tp.degree if latency.tp else 1)
-            * (latency.pp.stages if latency.pp else 1))
-        self.kv_config = kv if kv is not None and kv.enabled else None
-        self.requests = sorted(requests, key=lambda r: r.arrival_ns)
+        self.router_policy = router
+        self.autoscale = autoscale
+        self.disagg_prompt_ratio = disagg_prompt_ratio
+        self._policy_factory: PolicyFactory = (
+            lambda runtime, session: process(runtime, session, policy))
+        super().__init__(requests, model, latency, recorder=recorder,
+                         replicas=replicas, kv=kv, queue=queue,
+                         causality=causality, host=host)
         self._ids = [r.request_id for r in self.requests]
-        if len(set(self._ids)) != len(self._ids):
-            raise ConfigurationError("duplicate request ids in stream")
-        self.handles: list[ReplicaHandle] = []
-        for _ in range(replicas):
-            self._make_replica()
         # Disaggregated pools split the *initial* replicas; autoscaled
         # ones join the decode pool (decode capacity is what backlogs).
         self._prefill_count = max(1, replicas // 2)
-        self.outcomes: list[RequestOutcome] = []
         # Router bookkeeping.
         self._load: list[float] = [0.0] * replicas  # outstanding token mass
         self._outstanding = 0                       # routed, not completed
@@ -307,58 +251,33 @@ class ClusterRuntime:
             recorder.on_cluster(router.value, replicas, self._ids)
 
     # ------------------------------------------------------------------
-    # Replica pool
+    # Placement: a router thread feeding one routed queue per replica
     # ------------------------------------------------------------------
-    @property
-    def replicas(self) -> int:
-        return len(self.handles)
+    def _open_placement(self, tags: dict[int, Hashable] | None) -> None:
+        self.router_thread = self.core.add_cpu_thread(name="router")
 
-    @property
-    def sessions(self) -> list[EngineSession]:
-        return [handle.session for handle in self.handles]
+    def _session_queue(self) -> RoutedQueue:
+        return RoutedQueue(self)
 
-    def _make_replica(self) -> ReplicaHandle:
-        replica = len(self.handles)
-        thread = self.core.add_cpu_thread(name=f"serve{replica}")
-        devices = [self.core.add_device(replica=replica)
-                   for _ in range(self.devices_per_replica)]
-        manager = None
-        if self.kv_config is not None:
-            from repro.kvcache.manager import KvManager
-
-            manager = KvManager.for_gpu(
-                self.model, self.latency.platform, self.kv_config,
-                recorder=self.recorder, replica=replica)
-            self.core.add_kv_resource(manager.resource)
-            if self.recorder is not None:
-                self.recorder.on_kv_pool(replica, manager.capacity_blocks,
-                                         self.kv_config.policy.value,
-                                         self.kv_config.block_tokens)
-        session = EngineSession(replica=replica, thread=thread,
-                                devices=devices, recorder=self.recorder,
-                                kv=manager, host=self.host,
-                                numa_domain=(self.host.domain_for(replica)
-                                             if self.host is not None
-                                             else None))
-        handle = ReplicaHandle(self, session)
-        self.handles.append(handle)
-        return handle
+    def _start(self, policy_factory: PolicyFactory) -> None:
+        self.core.spawn(self._router_process())
+        # Replicas first wake when the first routed request can reach one —
+        # never at the first arrival itself. A stream whose first request
+        # lands exactly at a replica's start time would otherwise race the
+        # router at one timestamp, and the tie-break order (not causality)
+        # would decide whether the claim pays the routing latency.
+        start_ns = self.requests[0].arrival_ns + self.route_cost_ns
+        for session in self.sessions:
+            self.core.spawn(_delayed(policy_factory(self, session), start_ns))
 
     def complete(self, request: Request, ttft_ns: float, completion_ns: float,
                  batch_size: int, service_start_ns: float,
                  session: EngineSession) -> RequestOutcome:
-        """Record one finished request against the replica that served it."""
-        outcome = RequestOutcome(
-            request=request,
-            ttft_ns=ttft_ns,
-            completion_ns=completion_ns,
-            batch_size=batch_size,
-            queue_ns=queue_delay_ns(request, service_start_ns),
-            replica=session.replica,
-        )
-        self.outcomes.append(outcome)
-        session.requests += 1
-        session.output_tokens += request.output_tokens
+        """Record one finished request and debit its replica's router load."""
+        outcome = super().complete(
+            request, ttft_ns=ttft_ns, completion_ns=completion_ns,
+            batch_size=batch_size, service_start_ns=service_start_ns,
+            session=session)
         self._load[session.replica] -= self._mass(request)
         self._outstanding -= 1
         return outcome
@@ -426,7 +345,7 @@ class ClusterRuntime:
             # event timing must stay ahead of the feed hint it publishes).
             self.host.dispatch("router", ts_ns, spinup_ns,
                                domain=self.host.router_domain)
-        handle = self._make_replica()
+        session = self._add_replica()
         self._load.append(0.0)
         self.routed_per_replica.append(0)
         self.scale_events.append(ScaleEvent(
@@ -434,7 +353,7 @@ class ClusterRuntime:
         # Routing to the new replica is allowed immediately (its queue
         # exists now); it starts *serving* once the spin-up work is done.
         self.core.spawn(
-            _delayed(self._policy_process(handle), ts_ns + spinup_ns),
+            _delayed(self._policy_factory(self, session), ts_ns + spinup_ns),
             at_ns=ts_ns + spinup_ns)
 
     def _router_process(self) -> Process:
@@ -454,7 +373,7 @@ class ClusterRuntime:
                 raise SimulationError(
                     f"request {request.request_id} routed twice")
             self._routed_ids.add(request.request_id)
-            self.handles[replica].queue.push(request)
+            self.sessions[replica].queue.push(request)
             self._load[replica] += self._mass(request)
             self._outstanding += 1
             self.routed_per_replica[replica] += 1
@@ -468,99 +387,17 @@ class ClusterRuntime:
     # ------------------------------------------------------------------
     # Run
     # ------------------------------------------------------------------
-    def _policy_process(self, handle: ReplicaHandle) -> Process:
-        return self._process(handle, handle.session, self._serving_policy)
-
-    def run(self) -> list[RequestOutcome]:
+    # A routed run fixes its policy process at construction (autoscaled
+    # replicas spawn it mid-run), so run() takes no factory.
+    def run(self) -> list[RequestOutcome]:  # type: ignore[override]
         """Drive the router plus one policy process per replica to the end."""
-        self.core.spawn(self._router_process())
-        # Replicas first wake when the first routed request can reach one —
-        # never at the first arrival itself. A stream whose first request
-        # lands exactly at a replica's start time would otherwise race the
-        # router at one timestamp, and the tie-break order (not causality)
-        # would decide whether the claim pays the routing latency.
-        start_ns = self.requests[0].arrival_ns + self.route_cost_ns
-        for handle in self.handles:
-            self.core.spawn(_delayed(self._policy_process(handle), start_ns))
-        self.core.run()
-        if self._routed_ids != set(self._ids):
-            missing = sorted(set(self._ids) - self._routed_ids)
-            raise SimulationError(
-                f"router dropped requests on the floor: {missing[:5]}")
-        for handle in self.handles:
-            if not handle.queue.all_claimed():
-                unserved = [e.request.request_id
-                            for e in handle.queue.entries if not e.claimed]
-                raise SimulationError(
-                    f"replica {handle.replica} left requests unserved: "
-                    f"{unserved[:5]}")
-        if len(self.outcomes) != len(self.requests):
-            raise SimulationError(
-                f"served {len(self.outcomes)} outcomes for "
-                f"{len(self.requests)} requests")
-        served = [o.request.request_id for o in self.outcomes]
-        if len(set(served)) != len(served):
-            raise SimulationError("a request completed more than once")
-        for session in self.sessions:
-            if session.kv is None:
-                continue
-            if session.kv.prefix_caching:
-                # Warm (idle) shared-prefix groups are cache, not leaks.
-                session.kv.flush_prefixes(self.core.now)
-            if session.kv.pool.allocated != 0:
-                raise SimulationError(
-                    f"replica {session.replica} leaked "
-                    f"{session.kv.pool.allocated} KV blocks at run end")
-            if session.kv.host_blocks != 0:
-                raise SimulationError(
-                    f"replica {session.replica} left {session.kv.host_blocks}"
-                    f" KV blocks stranded in host memory at run end")
+        super().run(self._policy_factory)
         if self.recorder is not None:
             # Re-register with the final pool size so the exported
             # metadata reflects autoscaled replicas.
             self.recorder.on_cluster(self.router_policy.value, self.replicas,
                                      self._ids)
-            if self.host is not None:
-                # Likewise for the host block: the end-of-run core
-                # occupancy totals are what rule N004 conserves.
-                self.recorder.on_host(self.host.describe())
         return self.outcomes
-
-    # ------------------------------------------------------------------
-    # Stats
-    # ------------------------------------------------------------------
-    def replica_stats(self) -> list[ReplicaStats]:
-        return [ReplicaStats(
-            replica=s.replica,
-            requests=s.requests,
-            output_tokens=s.output_tokens,
-            steps=s.steps,
-            busy_ns=s.busy_ns,
-            span_ns=s.span_ns,
-            cpu_busy_ns=s.thread.busy_ns,
-        ) for s in self.sessions]
-
-    def kv_stats(self) -> list[KvReplicaStats]:
-        stats = []
-        for session in self.sessions:
-            manager = session.kv
-            if manager is None:
-                continue
-            stats.append(KvReplicaStats(
-                replica=session.replica,
-                capacity_blocks=manager.capacity_blocks,
-                block_tokens=manager.block_tokens,
-                preemptions=manager.preemptions,
-                swap_out_events=manager.swap_out_events,
-                swap_in_events=manager.swap_in_events,
-                swapped_blocks=manager.swapped_blocks,
-                swap_ns=manager.swap_ns_total,
-                prefix_hits=manager.prefix_hits,
-                prefix_misses=manager.prefix_misses,
-                cow_forks=manager.cow_forks,
-                prefix_evictions=manager.prefix_evictions,
-            ))
-        return stats
 
     def router_stats(self) -> RouterStats:
         return RouterStats(
@@ -613,11 +450,7 @@ def simulate_cluster(
             pool. ``None`` keeps host CPU infinite, bit-identically to
             prior behavior.
     """
-    from repro.serving.batcher import ServingReport
-    from repro.serving.continuous import (
-        ContinuousBatchPolicy,
-        continuous_batching_process,
-    )
+    from repro.serving.continuous import ContinuousBatchPolicy
 
     if isinstance(router, str):
         try:
@@ -631,25 +464,10 @@ def simulate_cluster(
         raise ConfigurationError(
             f"cluster replicas run continuous batching; "
             f"got {type(policy).__name__}")
-    if kv is not None and kv.enabled:
-        from repro.kvcache.serving import kv_continuous_batching_process
-
-        process: Callable[..., Process] = kv_continuous_batching_process
-    else:
-        process = continuous_batching_process
     runtime = ClusterRuntime(
-        requests, model, latency, process=process, policy=policy,
-        router=router, replicas=replicas, recorder=recorder, kv=kv,
-        autoscale=autoscale, disagg_prompt_ratio=disagg_prompt_ratio,
+        requests, model, latency, process=_policy_process(policy, kv),
+        policy=policy, router=router, replicas=replicas, recorder=recorder,
+        kv=kv, autoscale=autoscale, disagg_prompt_ratio=disagg_prompt_ratio,
         queue=queue, causality=causality, host=host)
     runtime.run()
-    return ClusterRunResult(
-        report=ServingReport(outcomes=list(runtime.outcomes)),
-        outcomes=list(runtime.outcomes),
-        replicas=runtime.replica_stats(),
-        sessions=runtime.sessions,
-        devices_per_replica=runtime.devices_per_replica,
-        kv=runtime.kv_stats(),
-        router=runtime.router_stats(),
-        host=runtime.host.stats() if runtime.host is not None else None,
-    )
+    return runtime._result(ClusterRunResult, router=runtime.router_stats())

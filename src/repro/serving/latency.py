@@ -33,18 +33,14 @@ class LatencyModel:
     mode: ExecutionMode = ExecutionMode.EAGER
     engine_config: EngineConfig = field(default=_FAST_CONFIG)
     #: Tensor-parallel topology for every engine run behind this model.
-    #: Fixed per instance, so the latency caches need no extra key.
+    #: Fixed per instance, so the pricing memo needs no extra key.
     tp: TPConfig | None = None
     #: Pipeline-parallel topology, likewise fixed per instance.
     pp: PPConfig | None = None
-    _ttft_cache: dict = field(default_factory=dict, repr=False)
-    _decode_cache: dict = field(default_factory=dict, repr=False)
+    #: (phase value, model name, batch, length) -> (latency_ns, cpu_ns),
+    #: both read off one tape run; see :meth:`_price`.
+    _priced: dict = field(default_factory=dict, repr=False)
     _result_cache: dict = field(default_factory=dict, repr=False)
-    # CPU-share caches (host-contention runs): the dispatch-CPU busy time
-    # of the same tape run the latency caches are built from. Keyed
-    # identically, populated alongside the latency on every cache miss.
-    _ttft_cpu_cache: dict = field(default_factory=dict, repr=False)
-    _decode_cpu_cache: dict = field(default_factory=dict, repr=False)
 
     def run_for(self, model: ModelConfig, batch_size: int, seq_len: int,
                 phase: Phase = Phase.PREFILL,
@@ -53,8 +49,8 @@ class LatencyModel:
 
         Used by the trace exporter (:mod:`repro.obs.export`) to recover the
         full kernel-level trace of a serving step. Results are cached
-        separately from the scalar latency caches, so ordinary serving
-        simulations never retain traces.
+        separately from the pricing memo, so ordinary serving simulations
+        never retain traces.
         """
         key = (model.name, batch_size, seq_len, phase.value, context_len)
         if key not in self._result_cache:
@@ -64,72 +60,53 @@ class LatencyModel:
                 config=self.engine_config, tp=self.tp, pp=self.pp)
         return self._result_cache[key]
 
-    def ttft_ns(self, model: ModelConfig, batch_size: int, prompt_len: int) -> float:
-        """Prefill latency (time-to-first-token)."""
-        key = (model.name, batch_size, prompt_len)
-        if key not in self._ttft_cache:
-            # Tape mode: metrics_from_tape is bit-identical to computing
-            # metrics from the full trace, so cached latencies (and every
-            # serving result built on them) are unchanged by the fast path.
+    def _price(self, phase: Phase, model: ModelConfig, batch_size: int,
+               length: int) -> tuple[float, float]:
+        """``(latency_ns, cpu_ns)`` of one engine step, memoized.
+
+        ``length`` is the prompt length of a prefill or the KV-cache length
+        of a decode step. ``cpu_ns`` is the dispatch-CPU busy time inside
+        the step: the launch-tax share a host-contention run books on the
+        finite core pool. Both come from one tape run, and
+        ``metrics_from_tape`` is bit-identical to computing metrics from
+        the full trace, so every serving result built on them is unchanged
+        by the fast path.
+        """
+        # The phase's plain-string value keys the memo: hashing the enum
+        # member itself runs Python-level code on every lookup.
+        key = (phase._value_, model.name, batch_size, length)
+        priced = self._priced.get(key)
+        if priced is None:
+            decode = phase is Phase.DECODE
             result = run(model, self.platform, batch_size=batch_size,
-                         seq_len=prompt_len, mode=self.mode,
-                         config=self.engine_config, tp=self.tp, pp=self.pp,
-                         tape=True)
+                         seq_len=1 if decode else length, phase=phase,
+                         context_len=length if decode else None,
+                         mode=self.mode, config=self.engine_config,
+                         tp=self.tp, pp=self.pp, tape=True)
             assert result.tape is not None
             metrics = metrics_from_tape(result.tape)
-            self._ttft_cache[key] = metrics.inference_latency_ns
-            self._ttft_cpu_cache[key] = metrics.cpu_busy_ns
-        return self._ttft_cache[key]
+            priced = (metrics.inference_latency_ns, metrics.cpu_busy_ns)
+            self._priced[key] = priced
+        return priced
+
+    def ttft_ns(self, model: ModelConfig, batch_size: int, prompt_len: int) -> float:
+        """Prefill latency (time-to-first-token)."""
+        return self._price(Phase.PREFILL, model, batch_size, prompt_len)[0]
 
     def ttft_cpu_ns(self, model: ModelConfig, batch_size: int,
                     prompt_len: int) -> float:
-        """Dispatch-CPU busy time inside one prefill (the launch-tax share
-        a host-contention run books on the finite core pool)."""
-        key = (model.name, batch_size, prompt_len)
-        if key not in self._ttft_cpu_cache:
-            result = run(model, self.platform, batch_size=batch_size,
-                         seq_len=prompt_len, mode=self.mode,
-                         config=self.engine_config, tp=self.tp, pp=self.pp,
-                         tape=True)
-            assert result.tape is not None
-            metrics = metrics_from_tape(result.tape)
-            self._ttft_cpu_cache[key] = metrics.cpu_busy_ns
-            # The engine is deterministic, so the latency this run
-            # produced matches any earlier cache entry bit-for-bit.
-            self._ttft_cache.setdefault(key, metrics.inference_latency_ns)
-        return self._ttft_cpu_cache[key]
+        """Dispatch-CPU busy time inside one prefill."""
+        return self._price(Phase.PREFILL, model, batch_size, prompt_len)[1]
 
     def decode_step_ns(self, model: ModelConfig, batch_size: int,
                        context_len: int) -> float:
         """Latency of one decode step at a given KV-cache length."""
-        key = (model.name, batch_size, context_len)
-        if key not in self._decode_cache:
-            result = run(model, self.platform, batch_size=batch_size,
-                         seq_len=1, phase=Phase.DECODE, context_len=context_len,
-                         mode=self.mode, config=self.engine_config, tp=self.tp,
-                         pp=self.pp, tape=True)
-            assert result.tape is not None
-            metrics = metrics_from_tape(result.tape)
-            self._decode_cache[key] = metrics.inference_latency_ns
-            self._decode_cpu_cache[key] = metrics.cpu_busy_ns
-        return self._decode_cache[key]
+        return self._price(Phase.DECODE, model, batch_size, context_len)[0]
 
     def decode_step_cpu_ns(self, model: ModelConfig, batch_size: int,
                            context_len: int) -> float:
-        """Dispatch-CPU busy time inside one decode step (see
-        :meth:`ttft_cpu_ns`)."""
-        key = (model.name, batch_size, context_len)
-        if key not in self._decode_cpu_cache:
-            result = run(model, self.platform, batch_size=batch_size,
-                         seq_len=1, phase=Phase.DECODE,
-                         context_len=context_len, mode=self.mode,
-                         config=self.engine_config, tp=self.tp,
-                         pp=self.pp, tape=True)
-            assert result.tape is not None
-            metrics = metrics_from_tape(result.tape)
-            self._decode_cpu_cache[key] = metrics.cpu_busy_ns
-            self._decode_cache.setdefault(key, metrics.inference_latency_ns)
-        return self._decode_cpu_cache[key]
+        """Dispatch-CPU busy time inside one decode step."""
+        return self._price(Phase.DECODE, model, batch_size, context_len)[1]
 
     def generation_ns(self, model: ModelConfig, batch_size: int,
                       prompt_len: int, output_tokens: int) -> float:

@@ -151,7 +151,7 @@ def pipeline_serving_process(runtime: ServingRuntime,
     prefill (the user's first signs of progress); completion is the whole
     chain, which compounds per stage — the paper's agentic-latency point.
     """
-    queue = runtime.queue
+    queue = session.queue
     latency = runtime.latency
     recorder = runtime.recorder
     planner = StepPlanner(PlannerConfig(chunk_tokens=policy.chunk_tokens))

@@ -177,7 +177,7 @@ def rag_serving_process(runtime: ServingRuntime, session: EngineSession,
     other step (one covering kernel on the replica's streams). That keeps
     the exported trace's device timeline gap-free; see ``docs/serving.md``.
     """
-    queue = runtime.queue
+    queue = session.queue
     latency = runtime.latency
     model = runtime.model
     recorder = runtime.recorder

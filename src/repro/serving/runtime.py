@@ -11,14 +11,17 @@ hoists the machinery all six policies share onto :class:`repro.sim.SimCore`:
 * :func:`arrival_process` — injects each request into the queue at its
   ``arrival_ns``; pure bookkeeping, the open-loop load generator.
 * :class:`EngineSession` — one engine replica's resources: a CPU dispatch
-  thread plus one GPU device per tensor-parallel shard. ``execute`` is the
+  thread, one GPU device per tensor-parallel shard, and the queue the
+  replica claims from. ``execute`` is the
   single point where a policy's step touches simulated hardware: it occupies
   the thread, submits one kernel per device stream, appends to the replica's
   device schedules (checkable by ``repro check schedule``), and records the
   step with the run recorder.
-* :class:`ServingRuntime` — owns the core, the queue, the sessions, and the
-  outcome list. ``run(policy_factory)`` spawns the arrival process plus one
-  policy process per replica and drives the simulation to completion.
+* :class:`ServingRuntime` — owns the core, the sessions, and the outcome
+  list. ``run(policy_factory)`` spawns the arrival process plus one policy
+  process per replica and drives the simulation to completion. It is the
+  one runtime: :class:`~repro.serving.cluster.ClusterRuntime` subclasses it
+  and changes only placement (a router feeding per-replica queues).
 * :func:`simulate_serving` — the one entry point: dispatches a policy object
   to its process implementation and wraps the results (report, per-replica
   stats, schedules) in a :class:`ServingRunResult`.
@@ -210,6 +213,10 @@ class EngineSession:
     replica: int
     thread: CpuThread
     devices: list[GpuDevice]
+    #: The queue this replica's policy process claims from: the run's one
+    #: shared :class:`AdmissionQueue`, or its own routed queue in a
+    #: cluster run. Placement is nothing more than this choice.
+    queue: AdmissionQueue
     recorder: RunRecorder | None = None
     kv: KvManager | None = None
     #: Finite-host CPU model (None = the classic infinite-CPU path, which
@@ -358,11 +365,40 @@ class KvReplicaStats:
         return self.preemptions > 0 or self.swap_out_events > 0
 
 
+@dataclass
+class ServingRunResult:
+    """Everything one sim-backed serving run produced."""
+
+    report: ServingReport
+    outcomes: list[RequestOutcome]
+    replicas: list[ReplicaStats]
+    sessions: list[EngineSession]
+    devices_per_replica: int
+    kv: list[KvReplicaStats] = field(default_factory=list)
+    #: Host CPU accounting when the run contended for a finite host
+    #: (``host=...``); None on the classic infinite-CPU path.
+    host: "HostStats | None" = None
+
+    @property
+    def throughput_tokens_per_s(self) -> float:
+        return self.report.throughput_tokens_per_s()
+
+
 PolicyFactory = Callable[["ServingRuntime", EngineSession], Process]
 
 
 class ServingRuntime:
-    """Owns the sim core, admission queue, and engine sessions of one run."""
+    """Owns the sim core, the engine sessions, and the outcomes of one run.
+
+    Run types differ only in *placement*: which queue each session claims
+    from. Here every session claims from one shared :class:`AdmissionQueue`
+    fed by :func:`arrival_process`, so replicas race for work.
+    :class:`~repro.serving.cluster.ClusterRuntime` overrides the three
+    placement hooks (``_open_placement``, ``_session_queue``, ``_start``)
+    to give each session its own routed queue fed by a router process.
+    Replica construction, completion bookkeeping, the end-of-run
+    invariants, and the stats all live here, once.
+    """
 
     def __init__(
         self,
@@ -377,16 +413,22 @@ class ServingRuntime:
         causality: CausalityLog | None = None,
         host: HostModel | None = None,
     ) -> None:
+        if not requests:
+            raise ConfigurationError("no requests to serve")
         if replicas <= 0:
             raise ConfigurationError("replicas must be positive")
+        ids = {r.request_id for r in requests}
+        if len(ids) != len(requests):
+            raise ConfigurationError("duplicate request ids in stream")
         self.model = model
         self.latency = latency
         self.recorder = recorder
+        # Stable sort by arrival keeps ties in caller order.
+        self.requests = sorted(requests, key=lambda r: r.arrival_ns)
         # `queue` injects a tie-break discipline (the determinism certifier
         # runs the same stream FIFO and LIFO); `causality` opts into the
         # happens-before log. Both default to None = the untouched path.
         self.core = SimCore(queue=queue, causality=causality)
-        self.queue = AdmissionQueue(requests, tags)
         # One engine replica spans tp.degree shards per pipeline stage.
         self.devices_per_replica = (
             (latency.tp.degree if latency.tp else 1)
@@ -400,33 +442,64 @@ class ServingRuntime:
         self.host = host
         if host is not None:
             host.attach(self.core, recorder=recorder)
+        # Resource creation order fixes CpuThread tids in exported traces:
+        # placement resources (the router thread) come before the replicas.
+        self._open_placement(tags)
         self.sessions: list[EngineSession] = []
-        for replica in range(replicas):
-            thread = self.core.add_cpu_thread(name=f"serve{replica}")
-            devices = [self.core.add_device(replica=replica)
-                       for _ in range(self.devices_per_replica)]
-            manager = None
-            if self.kv_config is not None:
-                from repro.kvcache.manager import KvManager
-
-                manager = KvManager.for_gpu(
-                    model, latency.platform, self.kv_config,
-                    recorder=recorder, replica=replica)
-                self.core.add_kv_resource(manager.resource)
-                if recorder is not None:
-                    recorder.on_kv_pool(replica, manager.capacity_blocks,
-                                        self.kv_config.policy.value,
-                                        self.kv_config.block_tokens)
-            self.sessions.append(EngineSession(
-                replica=replica, thread=thread, devices=devices,
-                recorder=recorder, kv=manager, host=host,
-                numa_domain=(host.domain_for(replica)
-                             if host is not None else None)))
+        for _ in range(replicas):
+            self._add_replica()
         self.outcomes: list[RequestOutcome] = []
 
+    # ------------------------------------------------------------------
+    # Placement: one shared queue (ClusterRuntime overrides these three)
+    # ------------------------------------------------------------------
+    def _open_placement(self, tags: dict[int, Hashable] | None) -> None:
+        """Create what placement needs before any replica exists."""
+        self.queue = AdmissionQueue(self.requests, tags)
+
+    def _session_queue(self) -> AdmissionQueue:
+        """The queue a new replica's session claims from."""
+        return self.queue
+
+    def _start(self, policy_factory: PolicyFactory) -> None:
+        """Spawn the feed plus one policy process per replica."""
+        self.core.spawn(arrival_process(self.queue))
+        for session in self.sessions:
+            self.core.spawn(policy_factory(self, session))
+
+    # ------------------------------------------------------------------
+    # Replica pool
+    # ------------------------------------------------------------------
     @property
     def replicas(self) -> int:
         return len(self.sessions)
+
+    def _add_replica(self) -> EngineSession:
+        """Build one replica's thread, shard devices, and KV pool."""
+        replica = len(self.sessions)
+        thread = self.core.add_cpu_thread(name=f"serve{replica}")
+        devices = [self.core.add_device(replica=replica)
+                   for _ in range(self.devices_per_replica)]
+        manager = None
+        if self.kv_config is not None:
+            from repro.kvcache.manager import KvManager
+
+            manager = KvManager.for_gpu(
+                self.model, self.latency.platform, self.kv_config,
+                recorder=self.recorder, replica=replica)
+            self.core.add_kv_resource(manager.resource)
+            if self.recorder is not None:
+                self.recorder.on_kv_pool(replica, manager.capacity_blocks,
+                                         self.kv_config.policy.value,
+                                         self.kv_config.block_tokens)
+        host = self.host
+        session = EngineSession(
+            replica=replica, thread=thread, devices=devices,
+            queue=self._session_queue(), recorder=self.recorder,
+            kv=manager, host=host,
+            numa_domain=host.domain_for(replica) if host is not None else None)
+        self.sessions.append(session)
+        return session
 
     def complete(self, request: Request, ttft_ns: float, completion_ns: float,
                  batch_size: int, service_start_ns: float,
@@ -446,21 +519,20 @@ class ServingRuntime:
         return outcome
 
     def run(self, policy_factory: PolicyFactory) -> list[RequestOutcome]:
-        """Spawn the arrival process plus one policy process per replica and
-        drive the simulation until every request has been served."""
-        self.core.spawn(arrival_process(self.queue))
-        for session in self.sessions:
-            self.core.spawn(policy_factory(self, session))
+        """Start the placement's feed plus one policy process per replica
+        and drive the simulation until every request has been served."""
+        self._start(policy_factory)
         self.core.run()
-        if not self.queue.all_claimed():
-            unserved = [e.request.request_id
-                        for e in self.queue.entries if not e.claimed]
-            raise SimulationError(
-                f"policy left requests unserved: {unserved[:5]}")
-        if len(self.outcomes) != len(self.queue.entries):
+        for queue in dict.fromkeys(s.queue for s in self.sessions):
+            if not queue.all_claimed():
+                unserved = [e.request.request_id
+                            for e in queue.entries if not e.claimed]
+                raise SimulationError(
+                    f"policy left requests unserved: {unserved[:5]}")
+        if len(self.outcomes) != len(self.requests):
             raise SimulationError(
                 f"served {len(self.outcomes)} outcomes for "
-                f"{len(self.queue.entries)} requests")
+                f"{len(self.requests)} requests")
         served = [o.request.request_id for o in self.outcomes]
         if len(set(served)) != len(served):
             raise SimulationError("a request completed more than once")
@@ -485,6 +557,9 @@ class ServingRuntime:
             self.recorder.on_host(self.host.describe())
         return self.outcomes
 
+    # ------------------------------------------------------------------
+    # Stats
+    # ------------------------------------------------------------------
     def replica_stats(self) -> list[ReplicaStats]:
         return [ReplicaStats(
             replica=s.replica,
@@ -519,24 +594,21 @@ class ServingRuntime:
             ))
         return stats
 
+    def _result(self, result_type: type[ServingRunResult] = ServingRunResult,
+                **extra: object) -> ServingRunResult:
+        """Wrap a finished run (``extra`` fills a subclass's own fields)."""
+        from repro.serving.batcher import ServingReport
 
-@dataclass
-class ServingRunResult:
-    """Everything one sim-backed serving run produced."""
-
-    report: ServingReport
-    outcomes: list[RequestOutcome]
-    replicas: list[ReplicaStats]
-    sessions: list[EngineSession]
-    devices_per_replica: int
-    kv: list[KvReplicaStats] = field(default_factory=list)
-    #: Host CPU accounting when the run contended for a finite host
-    #: (``host=...``); None on the classic infinite-CPU path.
-    host: "HostStats | None" = None
-
-    @property
-    def throughput_tokens_per_s(self) -> float:
-        return self.report.throughput_tokens_per_s()
+        return result_type(
+            report=ServingReport(outcomes=list(self.outcomes)),
+            outcomes=list(self.outcomes),
+            replicas=self.replica_stats(),
+            sessions=self.sessions,
+            devices_per_replica=self.devices_per_replica,
+            kv=self.kv_stats(),
+            host=self.host.stats() if self.host is not None else None,
+            **extra,
+        )
 
 
 def _normalize(requests: Sequence) -> tuple[list[Request], dict[int, Hashable]]:
@@ -556,9 +628,11 @@ def _normalize(requests: Sequence) -> tuple[list[Request], dict[int, Hashable]]:
     return plain, tags
 
 
-def _policy_factory(policy: object) -> Callable[..., Process]:
-    """Map a policy object to its process implementation (lazy imports keep
-    the policy modules free to import this one at module level)."""
+def _policy_process(policy: object,
+                    kv: KvCacheConfig | None) -> Callable[..., Process]:
+    """Map a policy object (and KV settings) to its process implementation
+    (lazy imports keep the policy modules free to import this one at
+    module level)."""
     from repro.serving.batcher import StaticBatchPolicy, static_batching_process
     from repro.serving.continuous import (
         ContinuousBatchPolicy,
@@ -578,6 +652,14 @@ def _policy_factory(policy: object) -> Callable[..., Process]:
         speculative_serving_process,
     )
 
+    if kv is not None and kv.enabled:
+        if not isinstance(policy, ContinuousBatchPolicy):
+            raise ConfigurationError(
+                f"KV pressure policies require continuous batching; "
+                f"got {type(policy).__name__}")
+        from repro.kvcache.serving import kv_continuous_batching_process
+
+        return kv_continuous_batching_process
     table: list[tuple[type, Callable[..., Process]]] = [
         (StaticBatchPolicy, static_batching_process),
         (ContinuousBatchPolicy, continuous_batching_process),
@@ -631,7 +713,6 @@ def simulate_serving(
             Only the continuous-batching policy family prices per-step
             CPU shares, so other policies require ``host=None``.
     """
-    from repro.serving.batcher import ServingReport
     from repro.serving.continuous import ContinuousBatchPolicy
 
     if policy is None:
@@ -641,27 +722,10 @@ def simulate_serving(
             f"host CPU contention requires continuous batching "
             f"(only that policy family prices per-step CPU shares); "
             f"got {type(policy).__name__}")
-    if kv is not None and kv.enabled:
-        if not isinstance(policy, ContinuousBatchPolicy):
-            raise ConfigurationError(
-                f"KV pressure policies require continuous batching; "
-                f"got {type(policy).__name__}")
-        from repro.kvcache.serving import kv_continuous_batching_process
-
-        process: Callable[..., Process] = kv_continuous_batching_process
-    else:
-        process = _policy_factory(policy)
+    process = _policy_process(policy, kv)
     plain, tags = _normalize(requests)
     runtime = ServingRuntime(plain, model, latency, recorder=recorder,
                              replicas=replicas, tags=tags or None, kv=kv,
                              queue=queue, causality=causality, host=host)
     runtime.run(lambda rt, session: process(rt, session, policy))
-    return ServingRunResult(
-        report=ServingReport(outcomes=list(runtime.outcomes)),
-        outcomes=list(runtime.outcomes),
-        replicas=runtime.replica_stats(),
-        sessions=runtime.sessions,
-        devices_per_replica=runtime.devices_per_replica,
-        kv=runtime.kv_stats(),
-        host=runtime.host.stats() if runtime.host is not None else None,
-    )
+    return runtime._result()

@@ -105,7 +105,7 @@ def priority_scheduling_process(runtime: ServingRuntime,
     or no further arrivals are coming. Requests carry their class as the
     admission-queue tag (see ``ClassifiedRequest``).
     """
-    queue = runtime.queue
+    queue = session.queue
     latency = runtime.latency
     model = runtime.model
     recorder = runtime.recorder

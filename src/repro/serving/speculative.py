@@ -188,7 +188,7 @@ def speculative_serving_process(runtime: ServingRuntime,
     Requests finish at their own expected round count, not the batch
     maximum's.
     """
-    queue = runtime.queue
+    queue = session.queue
     latency = runtime.latency
     target = runtime.model
     recorder = runtime.recorder

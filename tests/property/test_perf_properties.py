@@ -37,15 +37,24 @@ INTEL_H100 = get_platform("Intel+H100")
 GPT2 = get_model("gpt2")
 
 
+def _stream(seed: int) -> list:
+    return poisson_requests(rate_per_s=60, duration_s=0.1, prompt_len=64,
+                            output_tokens=4, seed=seed)
+
+
+#: Seeds whose stream has at least one request. About 0.25% of 0.1 s
+#: streams draw no arrival at all, which ``simulate_serving`` rejects; the
+#: empty-stream tests cover that rejection, not these properties.
+stream_seeds = st.integers(0, 2**16).filter(lambda seed: bool(_stream(seed)))
+
+
 def _serve(recorder: RunRecorder, seed: int) -> None:
-    requests = poisson_requests(rate_per_s=60, duration_s=0.1, prompt_len=64,
-                                output_tokens=4, seed=seed)
-    simulate_serving(requests, GPT2, LatencyModel(INTEL_H100),
+    simulate_serving(_stream(seed), GPT2, LatencyModel(INTEL_H100),
                      policy=ContinuousBatchPolicy(max_active=4),
                      recorder=recorder)
 
 
-@given(k=st.integers(1, 12), seed=st.integers(0, 2**16))
+@given(k=st.integers(1, 12), seed=stream_seeds)
 @settings(max_examples=15, deadline=None)
 def test_sampled_recording_preserves_exact_aggregates(k, seed):
     full = RunRecorder()
@@ -63,7 +72,7 @@ def test_sampled_recording_preserves_exact_aggregates(k, seed):
     assert set(sampled.spans) == {rid for rid in full.spans if rid % k == 0}
 
 
-@given(seed=st.integers(0, 2**16))
+@given(seed=stream_seeds)
 @settings(max_examples=10, deadline=None)
 def test_sample_every_one_is_bit_identical_to_default(seed):
     default = RunRecorder()

@@ -10,6 +10,9 @@ The laws that must hold for *any* spec, not just the canonical ones:
 * tagging never moves an arrival or resamples a length.
 """
 
+import math
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,17 +73,41 @@ def test_poisson_interarrival_mean_tracks_the_rate(rate, seeds):
     assert abs(mean_gap_s - 1.0 / rate) * rate < 0.2
 
 
+def _mmpp_count_variance(rate, mult, frac, dwell_s, window_s):
+    """Variance of the BURSTY arrival count over one window.
+
+    The Poisson term plus the two-state modulation term
+    ``2 * gap**2 * f * (1 - f) / s * (T - (1 - exp(-s * T)) / s)``, where
+    ``gap`` is the burst-minus-base rate and ``s`` the sum of the two
+    state-switching rates.
+    """
+    base = rate / ((1.0 - frac) + mult * frac)
+    gap = base * (mult - 1.0)
+    switch = 1.0 / (dwell_s * (1.0 - frac))
+    settle = window_s - (1.0 - math.exp(-switch * window_s)) / switch
+    return rate * window_s + 2.0 * gap**2 * frac * (1.0 - frac) / switch * settle
+
+
 @given(mult=st.floats(2.0, 12.0), frac=st.floats(0.1, 0.9),
        base_seed=st.integers(0, 100))
 @settings(max_examples=15, deadline=None)
 def test_bursty_time_average_rate_is_preserved(mult, frac, base_seed):
-    rate = 600.0
-    counts = [len(arrival_times_ns(ArrivalSpec(
-        family=ArrivalFamily.BURSTY, rate_per_s=rate, duration_s=1.0,
-        seed=base_seed + i, burst_multiplier=mult, burst_fraction=frac)))
-        for i in range(10)]
+    rate, band = 600.0, 0.25
+    spec = ArrivalSpec(family=ArrivalFamily.BURSTY, rate_per_s=rate,
+                       duration_s=1.0, seed=base_seed, burst_multiplier=mult,
+                       burst_fraction=frac)
+    # Average enough seeds that the band is five standard errors wide:
+    # bursty counts vary far more than Poisson ones, most of all for
+    # rare, strong bursts, so a fixed seed count fails on some draws.
+    # (The stream starts in the base state, which biases the mean low by
+    # at most ~2% over this range.)
+    variance = _mmpp_count_variance(rate, mult, frac, spec.burst_dwell_s,
+                                    spec.duration_s)
+    seeds = math.ceil(variance * (5.0 / (band * rate * spec.duration_s))**2)
+    counts = [len(arrival_times_ns(replace(spec, seed=base_seed + i)))
+              for i in range(seeds)]
     mean = sum(counts) / len(counts)
-    assert abs(mean - rate) / rate < 0.25
+    assert abs(mean - rate) / rate < band
 
 
 @given(amplitude=st.floats(0.0, 0.95), periods=st.integers(1, 8),

@@ -16,6 +16,7 @@ from repro.serving.cluster import (
 from repro.serving.continuous import ContinuousBatchPolicy
 from repro.serving.latency import LatencyModel
 from repro.serving.requests import ServingRequest, poisson_requests
+from repro.serving.runtime import simulate_serving
 from repro.workloads import GPT2
 
 from tests.scenarios import cluster_run, cluster_stream, tiebreak_pair
@@ -155,12 +156,15 @@ def test_empty_stream_rejected():
         simulate_cluster([], GPT2, LatencyModel(platform=GH200))
 
 
-def test_duplicate_request_ids_rejected():
+@pytest.mark.parametrize("simulate", [simulate_cluster, simulate_serving],
+                         ids=["cluster", "serving"])
+def test_duplicate_request_ids_rejected(simulate):
+    # Both entry points share the runtime constructor, which rejects the
+    # stream before any of it is simulated.
     request = ServingRequest(request_id=1, arrival_ns=0.0, prompt_len=8,
                              output_tokens=2)
     with pytest.raises(ConfigurationError, match="duplicate"):
-        simulate_cluster([request, request], GPT2,
-                         LatencyModel(platform=GH200))
+        simulate([request, request], GPT2, LatencyModel(platform=GH200))
 
 
 def test_routed_queue_rejects_out_of_order_pushes():
@@ -168,7 +172,7 @@ def test_routed_queue_rejects_out_of_order_pushes():
         _simple_stream(4), GPT2, LatencyModel(platform=GH200),
         process=lambda *a: iter(()), policy=ContinuousBatchPolicy(),
         replicas=2)
-    queue = runtime.handles[0].queue
+    queue = runtime.sessions[0].queue
     queue.push(ServingRequest(request_id=90, arrival_ns=5e6, prompt_len=8,
                               output_tokens=2))
     with pytest.raises(SimulationError, match="arrival order"):

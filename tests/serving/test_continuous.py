@@ -15,6 +15,7 @@ from repro.serving import (
     simulate_static_batching,
 )
 from repro.workloads import GPT2
+from repro.workloads.graph import Phase
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +66,8 @@ def test_context_bucket_bounds_latency_lookups(stream):
     fresh = LatencyModel(INTEL_H100)
     policy = ContinuousBatchPolicy(max_active=8, context_bucket=128)
     simulate_continuous_batching(stream, GPT2, fresh, policy)
-    contexts = {key[2] for key in fresh._decode_cache}
+    contexts = {key[3] for key in fresh._priced
+                if key[0] == Phase.DECODE.value}
     assert contexts
     assert all(c % 128 == 0 for c in contexts)
 

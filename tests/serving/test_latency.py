@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError
 from repro.hardware import INTEL_H100
 from repro.serving import LatencyModel
 from repro.workloads import GPT2, LLAMA_3_2_1B
+from repro.workloads.graph import Phase
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +19,7 @@ def test_ttft_positive_and_cached(model):
     second = model.ttft_ns(GPT2, 1, 256)
     assert first > 0
     assert first == second
-    assert (GPT2.name, 1, 256) in model._ttft_cache
+    assert (Phase.PREFILL.value, GPT2.name, 1, 256) in model._priced
 
 
 def test_ttft_grows_with_batch(model):
