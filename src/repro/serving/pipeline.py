@@ -14,9 +14,15 @@ from typing import TYPE_CHECKING
 from repro.errors import ConfigurationError
 from repro.obs.events import EngineShape, StepKind
 from repro.obs.recorder import RunRecorder
+from repro.serving.batcher import (
+    admit_batch,
+    complete_batch,
+    fifo_batch_process,
+    padded_generation,
+)
 from repro.serving.latency import LatencyModel
 from repro.serving.planner import PlannerConfig, StepPlanner
-from repro.serving.requests import queue_delay_ns
+from repro.serving.requests import Request
 from repro.workloads.config import ModelConfig
 
 if TYPE_CHECKING:
@@ -151,70 +157,25 @@ def pipeline_serving_process(runtime: ServingRuntime,
     prefill (the user's first signs of progress); completion is the whole
     chain, which compounds per stage — the paper's agentic-latency point.
     """
-    queue = session.queue
-    latency = runtime.latency
-    recorder = runtime.recorder
     planner = StepPlanner(PlannerConfig(chunk_tokens=policy.chunk_tokens))
-    free = 0.0
-    while True:
-        now = yield ("at", free)
-        decision = StepPlanner.next_fifo_batch(queue, now,
-                                               policy.max_batch_size)
-        if decision.done:
-            break
-        if decision.wake_at is not None:
-            free = decision.wake_at
-            continue
-        launch = max(decision.seed_arrival, free)
-        batch = list(decision.batch)
 
-        batch_size = len(batch)
-        request_prompt = max(r.prompt_len for r in batch)
-        waiting = queue.depth(launch) if recorder is not None else 0
-        if recorder is not None:
-            for request in batch:
-                recorder.on_admitted(request.request_id, request.arrival_ns,
-                                     launch)
+    def serve(batch: list[Request], launch: float) -> float:
+        waiting = admit_batch(runtime, session, batch, launch)
         clock = launch
-        upstream_tokens = request_prompt
+        upstream_tokens = max(r.prompt_len for r in batch)
         first_ttft = 0.0
         for position, stage in enumerate(policy.stages):
             consumes = position == 0 or stage.consumes_upstream
             prompt = stage.prompt_len + (upstream_tokens if consumes else 0)
-            ttft = latency.ttft_ns(stage.model, batch_size, prompt)
-            total = latency.generation_ns(stage.model, batch_size, prompt,
-                                          stage.output_tokens)
-            # Planner-decomposed stage prefill: one whole-prompt chunk
-            # when chunking is off, budget-sized chunks otherwise.
-            offset = 0.0
-            for chunk in planner.prefill_plan(batch[0].request_id, prompt):
-                chunk_ns = (ttft if chunk.is_whole
-                            else StepPlanner.chunk_cost_ns(
-                                latency, stage.model, batch_size, chunk))
-                session.execute(
-                    chunk.kind, clock + offset, chunk_ns, batch_size,
-                    queue_depth=waiting,
-                    shape=EngineShape(stage.model.name, batch_size, prompt)
-                    if recorder is not None and chunk.is_whole else None,
-                    schedule_label=chunk.schedule_label)
-                offset += chunk_ns
-            if total > ttft:
-                session.execute(StepKind.GENERATION, clock + offset,
-                                total - ttft, batch_size, queue_depth=waiting)
+            first, end = padded_generation(
+                runtime, session, planner, stage.model, batch, prompt,
+                stage.output_tokens, clock, waiting)
             if position == 0:
-                first_ttft = offset
-            clock += total
+                first_ttft = first
+            clock += end
             upstream_tokens = stage.output_tokens
-        chain_ns = clock - launch
-        for request in batch:
-            queued = queue_delay_ns(request, launch)
-            if recorder is not None:
-                recorder.on_first_token(request.request_id,
-                                        launch + first_ttft)
-                recorder.on_completed(request.request_id, clock)
-            runtime.complete(request,
-                             ttft_ns=queued + first_ttft,
-                             completion_ns=queued + chain_ns,
-                             batch_size=batch_size,
-                             service_start_ns=launch, session=session)
-        free = clock
+        complete_batch(runtime, session, batch, launch, first_ttft,
+                       [clock - launch] * len(batch))
+        return clock
+
+    return fifo_batch_process(session, policy.max_batch_size, serve)

@@ -22,8 +22,9 @@ This module is the planning layer every serving policy consumes:
   decodes.
 * :class:`StepPlanner` — the planner itself: prompt-progress state for
   chunked admissions, decode-priority hybrid step composition, the shared
-  FIFO batch-claim decision (previously hand-rolled in the speculative,
-  pipeline, and RAG policies), and the marginal-prefill chunk cost model.
+  FIFO batch-claim decision (run by
+  :func:`repro.serving.batcher.fifo_batch_process`), and the
+  marginal-prefill chunk cost model.
 
 Chunk cost model: chunk ``i`` covering ``[start, start+length)`` costs
 ``ttft_ns(bs, start+length) - ttft_ns(bs, start)`` — the *marginal* prefill
@@ -36,7 +37,7 @@ lock possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
@@ -232,10 +233,6 @@ class StepPlanner:
         return self.config.enabled
 
     @property
-    def pending_count(self) -> int:
-        return len(self.pending)
-
-    @property
     def has_pending(self) -> bool:
         return bool(self.pending)
 
@@ -279,13 +276,6 @@ class StepPlanner:
             if prompt.remaining == 0:
                 self.pending.pop(0)
         return StepPlan(decode_tokens=decode_count, chunks=tuple(chunks))
-
-    def progress_for(self, request_id: int) -> PromptProgress | None:
-        """The in-flight prompt state for a request, if still chunking."""
-        for prompt in self.pending:
-            if prompt.request.request_id == request_id:
-                return prompt
-        return None
 
     # -- whole-batch prefill plans (batched policies) ------------------
     def prefill_plan(self, request_id: int,
@@ -341,13 +331,13 @@ class StepPlanner:
     @staticmethod
     def next_fifo_batch(queue: AdmissionQueue, now: float, limit: int,
                         tag: Hashable = None) -> BatchDecision:
-        """The oldest-first batch claim the batched policies all share.
+        """The oldest-first batch claim the FIFO batched policies share.
 
-        Replicates the seed-scan the speculative/pipeline/RAG processes
-        each hand-rolled: peek the oldest unclaimed entry, sleep until it
-        arrives if it is in the future, otherwise claim it plus everything
-        else waiting (up to ``limit``). Performs the same queue calls in
-        the same order, so refactored policies stay bit-identical.
+        Peek the oldest unclaimed entry, sleep until it arrives if it is
+        in the future, otherwise claim it plus everything else waiting (up
+        to ``limit``). :func:`repro.serving.batcher.fifo_batch_process`
+        runs this decision in its claim loop for the speculative,
+        pipeline and RAG policies.
         """
         seed = queue.first_unclaimed(tag)
         if seed is None:

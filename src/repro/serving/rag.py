@@ -18,11 +18,17 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.obs.events import EngineShape, StepKind
+from repro.obs.events import StepKind
 from repro.retrieval.index import BruteForceIndex, IVFIndex
+from repro.serving.batcher import (
+    admit_batch,
+    complete_batch,
+    fifo_batch_process,
+    padded_generation,
+)
 from repro.serving.latency import LatencyModel
 from repro.serving.planner import PlannerConfig, StepPlanner
-from repro.serving.requests import queue_delay_ns
+from repro.serving.requests import Request
 from repro.workloads.config import ModelConfig
 
 if TYPE_CHECKING:
@@ -177,67 +183,22 @@ def rag_serving_process(runtime: ServingRuntime, session: EngineSession,
     other step (one covering kernel on the replica's streams). That keeps
     the exported trace's device timeline gap-free; see ``docs/serving.md``.
     """
-    queue = session.queue
-    latency = runtime.latency
-    model = runtime.model
-    recorder = runtime.recorder
     context_tokens = policy.top_k * policy.tokens_per_chunk
     planner = StepPlanner(PlannerConfig(chunk_tokens=policy.chunk_tokens))
-    free = 0.0
-    while True:
-        now = yield ("at", free)
-        decision = StepPlanner.next_fifo_batch(queue, now,
-                                               policy.max_batch_size)
-        if decision.done:
-            break
-        if decision.wake_at is not None:
-            free = decision.wake_at
-            continue
-        launch = max(decision.seed_arrival, free)
-        batch = list(decision.batch)
 
-        batch_size = len(batch)
-        prompt_len = max(r.prompt_len for r in batch) + context_tokens
-        output_tokens = max(r.output_tokens for r in batch)
-        ttft = latency.ttft_ns(model, batch_size, prompt_len)
-        total = latency.generation_ns(model, batch_size, prompt_len,
-                                      output_tokens)
-        waiting = queue.depth(launch) if recorder is not None else 0
-        if recorder is not None:
-            for request in batch:
-                recorder.on_admitted(request.request_id, request.arrival_ns,
-                                     launch)
-        clock = launch
+    def serve(batch: list[Request], launch: float) -> float:
+        waiting = admit_batch(runtime, session, batch, launch)
         if policy.retrieval_ns > 0:
-            session.execute(StepKind.RETRIEVAL, clock, policy.retrieval_ns,
-                            batch_size, queue_depth=waiting)
-            clock += policy.retrieval_ns
-        # Planner-decomposed prefill over the context-augmented prompt:
-        # one whole chunk when chunking is off, budget-sized chunks else.
-        offset = 0.0
-        for chunk in planner.prefill_plan(batch[0].request_id, prompt_len):
-            chunk_ns = (ttft if chunk.is_whole
-                        else StepPlanner.chunk_cost_ns(latency, model,
-                                                       batch_size, chunk))
-            session.execute(chunk.kind, clock + offset, chunk_ns, batch_size,
-                            queue_depth=waiting,
-                            shape=EngineShape(model.name, batch_size,
-                                              prompt_len)
-                            if recorder is not None and chunk.is_whole
-                            else None,
-                            schedule_label=chunk.schedule_label)
-            offset += chunk_ns
-        if total > ttft:
-            session.execute(StepKind.GENERATION, clock + offset, total - ttft,
-                            batch_size, queue_depth=waiting)
-        for request in batch:
-            queued = queue_delay_ns(request, launch)
-            if recorder is not None:
-                recorder.on_first_token(request.request_id, clock + ttft)
-                recorder.on_completed(request.request_id, clock + total)
-            runtime.complete(request,
-                             ttft_ns=queued + policy.retrieval_ns + ttft,
-                             completion_ns=queued + policy.retrieval_ns + total,
-                             batch_size=batch_size,
-                             service_start_ns=launch, session=session)
-        free = clock + total
+            session.execute(StepKind.RETRIEVAL, launch, policy.retrieval_ns,
+                            len(batch), queue_depth=waiting)
+        # Prefill over the context-augmented prompt, after the retrieval.
+        clock = launch + policy.retrieval_ns
+        first, end = padded_generation(
+            runtime, session, planner, runtime.model, batch,
+            max(r.prompt_len for r in batch) + context_tokens,
+            max(r.output_tokens for r in batch), clock, waiting)
+        complete_batch(runtime, session, batch, launch, first,
+                       [end] * len(batch), lead_ns=policy.retrieval_ns)
+        return clock + end
+
+    return fifo_batch_process(session, policy.max_batch_size, serve)

@@ -29,12 +29,16 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.obs.events import EngineShape, StepKind
 from repro.obs.recorder import RunRecorder
-from repro.serving.batcher import ServingReport
+from repro.serving.batcher import (
+    ServingReport,
+    admit_batch,
+    complete_batch,
+    padded_generation,
+)
 from repro.serving.latency import LatencyModel
 from repro.serving.planner import PlannerConfig, StepPlanner
-from repro.serving.requests import Request, RequestOutcome, queue_delay_ns
+from repro.serving.requests import Request, RequestOutcome
 from repro.workloads.config import ModelConfig
 
 if TYPE_CHECKING:
@@ -108,7 +112,6 @@ def priority_scheduling_process(runtime: ServingRuntime,
     queue = session.queue
     latency = runtime.latency
     model = runtime.model
-    recorder = runtime.recorder
     planner = StepPlanner(PlannerConfig(chunk_tokens=policy.chunk_tokens))
     clock = 0.0
 
@@ -117,47 +120,19 @@ def priority_scheduling_process(runtime: ServingRuntime,
         start = clock
         batch_size = len(batch)
         prompt = max(r.prompt_len for r in batch)
-        output = max(r.output_tokens for r in batch)
-        ttft = latency.ttft_ns(model, batch_size, prompt)
-        total = latency.generation_ns(model, batch_size, prompt, output)
-        waiting = queue.depth(start) if recorder is not None else 0
-        if recorder is not None:
-            for request in batch:
-                recorder.on_admitted(request.request_id, request.arrival_ns,
-                                     start)
-        # The planner decomposes the batch prefill: one whole-prompt
-        # chunk when chunking is off (the legacy step, bit-identical), or
-        # budget-sized chunks priced at their marginal prefill cost.
-        offset = 0.0
-        for chunk in planner.prefill_plan(batch[0].request_id, prompt):
-            chunk_ns = (ttft if chunk.is_whole
-                        else StepPlanner.chunk_cost_ns(latency, model,
-                                                       batch_size, chunk))
-            session.execute(chunk.kind, start + offset, chunk_ns, batch_size,
-                            queue_depth=waiting,
-                            shape=EngineShape(model.name, batch_size, prompt)
-                            if recorder is not None and chunk.is_whole
-                            else None,
-                            schedule_label=chunk.schedule_label)
-            offset += chunk_ns
-        if total > ttft:
-            session.execute(StepKind.GENERATION, start + offset, total - ttft,
-                            batch_size, queue_depth=waiting)
-        clock = start + total
-        for request in batch:
-            # Each request is charged its own generation time; the engine
-            # still runs for the padded batch maximum (``total`` above), so
-            # the clock advance and every scheduling decision are unchanged.
-            total_r = latency.generation_ns(model, batch_size, prompt,
-                                            request.output_tokens)
-            queued = queue_delay_ns(request, start)
-            if recorder is not None:
-                recorder.on_first_token(request.request_id, start + ttft)
-                recorder.on_completed(request.request_id, start + total_r)
-            runtime.complete(request, ttft_ns=queued + ttft,
-                             completion_ns=queued + total_r,
-                             batch_size=batch_size,
-                             service_start_ns=start, session=session)
+        waiting = admit_batch(runtime, session, batch, start)
+        first, end = padded_generation(
+            runtime, session, planner, model, batch, prompt,
+            max(r.output_tokens for r in batch), start, waiting)
+        clock = start + end
+        # Each request is charged its own generation time, shifted like
+        # the padded tail; the engine runs for the padded batch maximum,
+        # which alone sets the clock.
+        shift = first - latency.ttft_ns(model, batch_size, prompt)
+        complete_batch(runtime, session, batch, start, first, [
+            latency.generation_ns(model, batch_size, prompt,
+                                  r.output_tokens) + shift
+            for r in batch])
 
     while True:
         clock = yield ("at", clock)

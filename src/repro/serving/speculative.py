@@ -27,9 +27,15 @@ from typing import TYPE_CHECKING
 from repro.errors import ConfigurationError
 from repro.obs.events import EngineShape, StepKind
 from repro.obs.recorder import RunRecorder
+from repro.serving.batcher import (
+    admit_batch,
+    complete_batch,
+    fifo_batch_process,
+    padded_prefill,
+)
 from repro.serving.latency import LatencyModel
 from repro.serving.planner import PlannerConfig, StepPlanner
-from repro.serving.requests import queue_delay_ns
+from repro.serving.requests import Request
 from repro.workloads.config import ModelConfig
 
 if TYPE_CHECKING:
@@ -188,62 +194,30 @@ def speculative_serving_process(runtime: ServingRuntime,
     Requests finish at their own expected round count, not the batch
     maximum's.
     """
-    queue = session.queue
     latency = runtime.latency
     target = runtime.model
-    recorder = runtime.recorder
     config = policy.config
+    expected = config.expected_tokens_per_round
     planner = StepPlanner(PlannerConfig(chunk_tokens=policy.chunk_tokens))
-    free = 0.0
-    while True:
-        now = yield ("at", free)
-        decision = StepPlanner.next_fifo_batch(queue, now,
-                                               policy.max_batch_size)
-        if decision.done:
-            break
-        if decision.wake_at is not None:
-            free = decision.wake_at
-            continue
-        launch = max(decision.seed_arrival, free)
-        batch = list(decision.batch)
 
+    def serve(batch: list[Request], launch: float) -> float:
         batch_size = len(batch)
         prompt_len = max(r.prompt_len for r in batch)
         output_tokens = max(r.output_tokens for r in batch)
         mid_context = prompt_len + output_tokens // 2
-        prefill = latency.ttft_ns(target, batch_size, prompt_len)
         draft_step = latency.decode_step_ns(policy.draft, batch_size,
                                             mid_context)
         verify = latency.ttft_ns(target, batch_size, config.draft_tokens)
         per_round = config.draft_tokens * draft_step + verify
-        expected = config.expected_tokens_per_round
         rounds = output_tokens / expected
 
-        waiting = queue.depth(launch) if recorder is not None else 0
-        if recorder is not None:
-            for request in batch:
-                recorder.on_admitted(request.request_id, request.arrival_ns,
-                                     launch)
-        clock = launch
-        # Planner-decomposed target prefill: one whole-prompt chunk when
-        # chunking is off (the legacy step), budget-sized chunks otherwise.
-        offset = 0.0
-        for chunk in planner.prefill_plan(batch[0].request_id, prompt_len):
-            chunk_ns = (prefill if chunk.is_whole
-                        else StepPlanner.chunk_cost_ns(latency, target,
-                                                       batch_size, chunk))
-            session.execute(chunk.kind, clock, chunk_ns, batch_size,
-                            queue_depth=waiting,
-                            shape=EngineShape(target.name, batch_size,
-                                              prompt_len)
-                            if recorder is not None and chunk.is_whole
-                            else None,
-                            schedule_label=chunk.schedule_label)
-            clock += chunk_ns
-            offset += chunk_ns
-        first_token_ns = clock
+        waiting = admit_batch(runtime, session, batch, launch)
+        prefill = padded_prefill(
+            runtime, session, planner, target, batch, prompt_len, launch,
+            waiting, latency.ttft_ns(target, batch_size, prompt_len))
+        clock = launch + prefill
         draft_shape = verify_shape = None
-        if recorder is not None:
+        if runtime.recorder is not None:
             draft_shape = EngineShape(policy.draft.name, batch_size, 1,
                                       phase="decode", context_len=mid_context)
             verify_shape = EngineShape(target.name, batch_size,
@@ -265,18 +239,11 @@ def speculative_serving_process(runtime: ServingRuntime,
             session.execute(StepKind.VERIFY, clock, remainder * verify,
                             batch_size, queue_depth=waiting)
             clock += remainder * verify
+        # The first token lands with the target prefill; each request then
+        # finishes at its own expected round count.
+        complete_batch(runtime, session, batch, launch, 0.0, [
+            r.output_tokens / expected * per_round for r in batch],
+            lead_ns=prefill)
+        return clock
 
-        for request in batch:
-            queued = queue_delay_ns(request, launch)
-            own_rounds = request.output_tokens / expected
-            completion = queued + offset + own_rounds * per_round
-            if recorder is not None:
-                recorder.on_first_token(request.request_id, first_token_ns)
-                recorder.on_completed(request.request_id,
-                                      request.arrival_ns + completion)
-            runtime.complete(request,
-                             ttft_ns=queued + offset,
-                             completion_ns=completion,
-                             batch_size=batch_size,
-                             service_start_ns=launch, session=session)
-        free = clock
+    return fifo_batch_process(session, policy.max_batch_size, serve)

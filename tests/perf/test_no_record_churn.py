@@ -64,13 +64,24 @@ def test_unrecorded_policies_build_no_engine_shapes(monkeypatch):
         built.append(args)
         return real_shape(*args, **kwargs)
 
-    # Policies import the symbol into their own namespaces; patch each one.
+    # The modules that build step shapes import the symbol into their own
+    # namespaces; patch each one (the other batched policies build theirs
+    # through repro.serving.batcher).
     for module in ("repro.serving.continuous", "repro.serving.batcher",
-                   "repro.serving.scheduler", "repro.serving.speculative",
-                   "repro.serving.pipeline", "repro.serving.rag"):
+                   "repro.serving.speculative", "repro.serving.pipeline"):
         monkeypatch.setattr(f"{module}.EngineShape", counting_shape)
 
     from repro.kvcache import KvCacheConfig
+    from repro.serving import (
+        ClassifiedRequest,
+        PipelineServingPolicy,
+        PipelineStage,
+        PriorityPolicy,
+        RagServingPolicy,
+        RequestClass,
+        SpeculativeServingPolicy,
+        StaticBatchPolicy,
+    )
 
     requests = poisson_requests(rate_per_s=40, duration_s=0.1, prompt_len=512,
                                 output_tokens=32, seed=7)
@@ -80,4 +91,20 @@ def test_unrecorded_policies_build_no_engine_shapes(monkeypatch):
                      LatencyModel(get_platform("GH200")),
                      policy=ContinuousBatchPolicy(max_active=4),
                      kv=KvCacheConfig(policy=KvPolicy.OFFLOAD, pool_gib=0.04))
+    latency = LatencyModel(INTEL_H100)
+    classified = [ClassifiedRequest(request=r,
+                                    request_class=(RequestClass.INTERACTIVE
+                                                   if i % 2 == 0
+                                                   else RequestClass.BULK))
+                  for i, r in enumerate(requests)]
+    stages = (PipelineStage("plan", GPT2, prompt_len=32, output_tokens=8),
+              PipelineStage("answer", GPT2, prompt_len=16, output_tokens=4))
+    for workload, policy in (
+            (requests, StaticBatchPolicy(max_batch_size=4)),
+            (classified, PriorityPolicy(bulk_batch=4)),
+            (classified, PriorityPolicy(bulk_batch=4, chunk_tokens=128)),
+            (requests, PipelineServingPolicy(stages=stages)),
+            (requests, RagServingPolicy(retrieval_ns=1e5)),
+            (requests, SpeculativeServingPolicy(draft=GPT2))):
+        simulate_serving(workload, GPT2, latency, policy=policy)
     assert built == []
